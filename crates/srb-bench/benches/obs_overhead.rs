@@ -4,14 +4,11 @@
 //! Design: two *identical* populated `ShardedServer`s are stepped in
 //! lockstep through the same rounds of N/10-mover batches
 //! (`handle_sequenced_updates_parallel`). Each round is timed once with
-//! the runtime recorder disabled (`srb_obs::set_enabled(false)`) on one
+//! telemetry switched off (`srb_obs::set_enabled(false)`) on one
 //! server and once enabled on the other, with the order flipped every
 //! round — a paired-sample design, so scheduler noise hits both sides of
 //! each pair instead of biasing one. The headline figure is the relative
-//! overhead of the enabled recorder; the acceptance target is **< 2%**.
-//! With the `obs` cargo feature off the instrumentation compiles away
-//! entirely and both sides are the uninstrumented baseline
-//! (`compiled = false` in the output marks such a run).
+//! overhead of enabled telemetry; the acceptance target is **< 2%**.
 //!
 //! Results land in `BENCH_obs.json` at the repo root.
 
@@ -64,7 +61,7 @@ fn build_server(shards: usize, n_objects: usize, sim: &SimConfig) -> ShardedServ
     server
 }
 
-/// Applies one round's batch to `server` with the recorder set to `on`,
+/// Applies one round's batch to `server` with telemetry switched `on`,
 /// returning the wall-clock seconds of the batch call.
 fn timed_round(
     server: &mut ShardedServer,
@@ -86,10 +83,7 @@ fn main() {
     let sim = srb_bench::base_config();
     figure_header("Obs overhead", "telemetry cost on the sharded batch path", &sim);
     let (shards, n_objects) = if full_scale() { (2, 20_000) } else { (2, 4_000) };
-    println!(
-        "    shards={shards}, N={n_objects}, rounds={ROUNDS} (+{WARMUP} warmup), compiled={}",
-        srb_obs::compiled()
-    );
+    println!("    shards={shards}, N={n_objects}, rounds={ROUNDS} (+{WARMUP} warmup)");
 
     let seed = sim.seed;
     let mut baseline = build_server(shards, n_objects, &sim);
@@ -141,7 +135,7 @@ fn main() {
         "\ntotal: disabled={:.4}s enabled={:.4}s overhead={:+.2}% ({} updates per side)",
         disabled_s, enabled_s, overhead_pct, updates
     );
-    if srb_obs::compiled() && overhead_pct >= 2.0 {
+    if overhead_pct >= 2.0 {
         println!("WARNING: overhead above the 2% acceptance target");
     }
 
@@ -154,7 +148,6 @@ fn main() {
         "disabled_s": disabled_s,
         "enabled_s": enabled_s,
         "overhead_pct": overhead_pct,
-        "compiled": srb_obs::compiled(),
     });
     println!("JSON {line}");
 

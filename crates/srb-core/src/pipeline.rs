@@ -1,9 +1,8 @@
 //! The pipelined ingestion front-end: persistent shard workers behind
 //! per-shard SPSC rings.
 //!
-//! The old parallel batch path forked a rayon task per shard and joined
-//! at a barrier every batch. This module replaces that with standing
-//! machinery:
+//! The parallel batch path runs on standing machinery rather than a
+//! per-batch fork/join barrier:
 //!
 //! - every shard gets a [`ShardCell`] — a bounded job ring
 //!   (coordinator → worker) and a bounded result ring (worker →
@@ -158,7 +157,7 @@ impl<B: srb_index::SpatialBackend> Default for ResultSlot<B> {
     fn default() -> Self {
         ResultSlot {
             kind: ResultKind::Idle,
-            entries: Vec::new(),
+            entries: Vec::with_capacity(CHUNK_ENTRIES),
             probe: ObjectId(0),
             server: None,
             updates: Vec::new(),

@@ -645,6 +645,10 @@ impl<B: SpatialBackend> Server<B> {
         while !resp.stage.is_empty() {
             let take = resp.stage.len().min(chunk_cap);
             resp.chunk.clear();
+            // Full-size chunks: the sink may swap this buffer for one of
+            // its own, and a full-size buffer never regrows wherever it
+            // lands next.
+            resp.chunk.reserve(chunk_cap);
             resp.chunk.extend(resp.stage.drain(..take));
             emit(&mut resp.chunk);
         }

@@ -123,14 +123,15 @@ fn parse_threads(raw: Option<&str>) -> Option<usize> {
 }
 
 /// The number of threads the batch fan-out may use: the `SRB_THREADS`
-/// environment variable if set to a positive integer, else rayon's
-/// configured parallelism (`RAYON_NUM_THREADS` / available cores).
-/// `SRB_THREADS=0` and unparsable values are rejected, not honored.
-/// The resolved count is published on the `sharded.threads` gauge.
+/// environment variable if set to a positive integer, else the machine's
+/// available parallelism (1 if unknown). `SRB_THREADS=0` and unparsable
+/// values are rejected, not honored. The resolved count is published on
+/// the `sharded.threads` gauge.
 pub fn configured_threads() -> usize {
     let var = std::env::var("SRB_THREADS");
-    let resolved =
-        parse_threads(var.as_deref().ok()).unwrap_or_else(rayon::current_num_threads).max(1);
+    let resolved = parse_threads(var.as_deref().ok()).unwrap_or_else(|| {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    });
     srb_obs::gauge!("sharded.threads").set(resolved as u64);
     resolved
 }
@@ -157,8 +158,6 @@ struct CoordScratch<B: srb_index::SpatialBackend> {
     tables: Vec<Vec<Point>>,
     /// Per-shard "job still in flight" flags of the pipelined drain.
     pending: Vec<bool>,
-    /// Landing buffer swapped against result-ring chunk slots.
-    chunk: Vec<(ObjectId, UpdateResponse)>,
     /// Parking slots for the shard servers while a pipelined batch has
     /// them checked out (idle shards never leave this vector).
     returned: Vec<Option<Server<B>>>,
@@ -173,7 +172,6 @@ impl<B: srb_index::SpatialBackend> Default for CoordScratch<B> {
             transcripts: Vec::new(),
             tables: Vec::new(),
             pending: Vec::new(),
-            chunk: Vec::new(),
             returned: Vec::new(),
         }
     }
@@ -838,7 +836,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         let mut pending = std::mem::take(&mut self.scratch.pending);
         pending.clear();
         pending.resize(n, false);
-        let mut chunk = std::mem::take(&mut self.scratch.chunk);
         let mut returned = std::mem::take(&mut self.scratch.returned);
         returned.clear();
 
@@ -891,7 +888,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 let cell = &pipeline.cells[i];
                 loop {
                     let mut probe_req: Option<ObjectId> = None;
-                    let mut got_chunk = false;
                     let mut done = None;
                     let popped = cell.results.try_pop(|slot| match slot.kind {
                         ResultKind::Probe => {
@@ -899,9 +895,11 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                             probe_req = Some(slot.probe);
                         }
                         ResultKind::Chunk => {
+                            // Copy out rather than swap: a buffer moved
+                            // into another shard's ring may be too small
+                            // there and regrow.
                             slot.kind = ResultKind::Idle;
-                            std::mem::swap(&mut chunk, &mut slot.entries);
-                            got_chunk = true;
+                            out.append(&mut slot.entries);
                         }
                         ResultKind::Done => {
                             slot.kind = ResultKind::Idle;
@@ -935,9 +933,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                         });
                         assert!(answered, "probe-answer slot unavailable");
                         cell.unpark_worker();
-                    }
-                    if got_chunk {
-                        out.append(&mut chunk);
                     }
                     if let Some((server, log, log_err, dur, panicked)) = done {
                         returned[i] = Some(server.expect("Done returns the shard server"));
@@ -990,7 +985,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         record_straggler_gap(&durations);
         self.scratch.durations = durations;
         self.scratch.pending = pending;
-        self.scratch.chunk = chunk;
         self.scratch.returned = returned;
         self.scratch.batches = batches;
         self.scratch.transcripts = transcripts;
@@ -1963,7 +1957,7 @@ mod tests {
     #[test]
     fn configured_threads_never_returns_zero() {
         // Whatever the environment says, the fan-out must get at least one
-        // worker (SRB_THREADS=0 falls back to the rayon default).
+        // worker (SRB_THREADS=0 falls back to the available parallelism).
         assert!(configured_threads() >= 1);
     }
 

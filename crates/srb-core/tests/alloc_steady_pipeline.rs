@@ -2,7 +2,8 @@
 //! have warmed up, a steady-state batch through the 4-shard / 4-worker
 //! [`ShardedServer::handle_sequenced_updates_parallel_into`] path performs
 //! **zero** heap allocations — across *every* thread, coordinator and
-//! shard workers alike.
+//! shard workers alike — both with a snapshot provider and with a
+//! provider that has none.
 //!
 //! Unlike `alloc_steady.rs` (whose counters are thread-local so parallel
 //! test threads cannot pollute a measurement), this pin must observe the
@@ -12,8 +13,8 @@
 //! are measured.
 
 use srb_core::{
-    FnProvider, ObjectId, QuerySpec, SequencedUpdate, ServerConfig, ShardedServer, TableProvider,
-    UpdateResponse,
+    FnProvider, ObjectId, QuerySpec, SequencedUpdate, ServerConfig, ShardedServer, SyncProvider,
+    TableProvider, UpdateResponse,
 };
 use srb_geom::{Point, Rect};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -79,47 +80,80 @@ fn batch(b: u64) -> Vec<SequencedUpdate> {
         .collect()
 }
 
-#[test]
-fn pipelined_steady_state_batches_do_not_allocate() {
+/// A 4-shard / 4-worker server holding every object at home plus `query`.
+fn populated(query: QuerySpec) -> ShardedServer {
     let mut server = ShardedServer::new(ServerConfig::default(), 4).with_threads(4);
-    {
-        let mut provider = FnProvider(|id: ObjectId| home(id.index()));
-        for i in 0..N_OBJECTS {
-            server.add_object(ObjectId(i as u32), home(i), &mut provider, 0.0).expect("fresh id");
-        }
-        // A query far from every object: present (so the query plane is
-        // exercised) but never affected by the jitter.
-        let far = Rect::new(Point::new(0.9, 0.9), Point::new(0.95, 0.95));
-        server.register_query(QuerySpec::Range { rect: far }, &mut provider, 0.0);
+    let mut provider = FnProvider(|id: ObjectId| home(id.index()));
+    for i in 0..N_OBJECTS {
+        server.add_object(ObjectId(i as u32), home(i), &mut provider, 0.0).expect("fresh id");
     }
+    server.register_query(query, &mut provider, 0.0);
+    server
+}
 
-    // A snapshot provider: workers copy the table into their lent
-    // buffers and answer probes locally, so the pin also covers the
-    // snapshot-circulation path (clear + extend into warmed capacity).
-    let positions: Vec<Point> = (0..N_OBJECTS).map(home).collect();
-    let provider = TableProvider(&positions);
-
+/// Warms `server` up, then asserts that each measured batch — answered
+/// by `provider_at(b)` — allocates nothing on any thread.
+fn assert_steady_batches_allocate_nothing<P: SyncProvider>(
+    case: &str,
+    server: &mut ShardedServer,
+    provider_at: impl Fn(u64) -> P,
+) {
     let mut out: Vec<(ObjectId, UpdateResponse)> = Vec::new();
     // Warmup spawns the worker pool, resolves every metric slot, and
     // grows ring-slot buffers, partitions, and response chunks to their
     // steady-state capacities.
     for b in 0..WARMUP_BATCHES {
         out.clear();
-        server.handle_sequenced_updates_parallel_into(&batch(b), &provider, b as f64, &mut out);
-        assert_eq!(out.len(), N_OBJECTS, "every updater gets a response");
+        server.handle_sequenced_updates_parallel_into(
+            &batch(b),
+            &provider_at(b),
+            b as f64,
+            &mut out,
+        );
+        assert_eq!(out.len(), N_OBJECTS, "{case}: every updater gets a response");
     }
 
     let before = allocs();
     for b in WARMUP_BATCHES..WARMUP_BATCHES + MEASURED_BATCHES {
         let updates = batch(b);
+        let provider = provider_at(b);
         let baseline = allocs();
         out.clear();
         server.handle_sequenced_updates_parallel_into(&updates, &provider, b as f64, &mut out);
-        assert_eq!(allocs(), baseline, "batch {b} allocated on the pipelined steady-state path");
+        assert_eq!(allocs(), baseline, "{case}: batch {b} allocated on the steady-state path");
         assert_eq!(out.len(), N_OBJECTS);
     }
     // `batch()` itself allocates the update vector; everything else —
-    // submission, worker processing, chunk streaming, merge — must not.
+    // submission, worker processing, probes, chunk streaming, merge —
+    // must not.
     let extra = allocs() - before - MEASURED_BATCHES;
-    assert_eq!(extra, 0, "steady-state pipelined batch must be allocation-free");
+    assert_eq!(extra, 0, "{case}: steady-state pipelined batch must be allocation-free");
+}
+
+/// Both probe paths in one test: the allocation counter is process-wide,
+/// so a second test running concurrently would pollute the measurement.
+#[test]
+fn pipelined_steady_state_batches_do_not_allocate() {
+    // A query far from every object: present (so the query plane is
+    // exercised) but never affected by the jitter.
+    let far = Rect::new(Point::new(0.9, 0.9), Point::new(0.95, 0.95));
+
+    // A snapshot provider: workers copy the table into their lent
+    // buffers and answer probes locally, so the pin also covers the
+    // snapshot-circulation path (clear + extend into warmed capacity).
+    let positions: Vec<Point> = (0..N_OBJECTS).map(home).collect();
+    let mut server = populated(QuerySpec::Range { rect: far });
+    assert_steady_batches_allocate_nothing("snapshot", &mut server, |_| TableProvider(&positions));
+    drop(server);
+
+    // A provider without a snapshot, like the simulator's: no table is
+    // copied, and any probe a shard worker makes takes the ring RPC to the
+    // coordinator — the path real traffic takes. The jitter affects no
+    // query, so these batches make no probes; a batch that does probe
+    // hands the caller `probed` safe regions, which are heap payloads of
+    // the response by design.
+    let mut server = populated(QuerySpec::Range { rect: far });
+    assert_steady_batches_allocate_nothing("ring rpc", &mut server, |b| {
+        move |id: ObjectId| pos_at(id.index(), b)
+    });
 }

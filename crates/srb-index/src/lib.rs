@@ -23,8 +23,8 @@
 //!
 //! Everything is arena- or bucket-allocated, entirely safe Rust, and
 //! instrumented with a deterministic visit counter so experiments can
-//! report work units alongside wall-clock time. When the `obs` feature is
-//! on (default), the backends additionally publish per-search visit
+//! report work units alongside wall-clock time. While telemetry is enabled
+//! (the default), the backends additionally publish per-search visit
 //! histograms (`index.search.visits`, `index.nn.visits`), update-path
 //! counters (`index.update.*`, `index.splits`, `index.forced_reinserts`),
 //! and grid counters (`index.grid.cell_visits`, `index.grid.bucket_scans`,

@@ -5,20 +5,12 @@
 //! scoped [`SpanGuard`] timers with thread-local nesting, and a global
 //! labeled [`Registry`] with JSON and table exporters ([`Snapshot`]).
 //!
-//! Two independent off-switches guarantee the telemetry can never perturb
-//! an experiment:
-//!
-//! 1. **Compile time** — the `obs` cargo feature (on by default). With the
-//!    feature off every type in this crate is an inert zero-sized stub with
-//!    the identical API, so instrumented crates build unchanged and carry
-//!    no telemetry code at all.
-//! 2. **Run time** — a [`Recorder`] strategy behind an atomic mode switch
-//!    ([`set_enabled`], [`set_recorder`]). The default
-//!    [`AggregatingRecorder`] folds events into the registry's atomics; the
-//!    [`NoopRecorder`] discards them. Because telemetry only ever *reads*
-//!    simulation state (it never feeds a measurement back into a decision),
-//!    swapping recorders cannot change any figure — the golden-metrics
-//!    tests pin this bit-identically.
+//! Telemetry has one runtime switch, [`set_enabled`], backed by a single
+//! atomic flag: with telemetry off every counter, gauge and histogram call
+//! is a relaxed load plus a branch and every span is inert. Telemetry only
+//! ever *reads* simulation state (it never feeds a measurement back into a
+//! decision), so toggling it cannot change any figure — the golden-metrics
+//! tests pin this bit-identically.
 //!
 //! Hot-path discipline: call sites resolve their handle once through the
 //! [`counter!`]/[`gauge!`]/[`histogram!`]/[`span!`] macros (a `OnceLock`
@@ -34,9 +26,7 @@
 //! } // span closes here
 //! let snap = srb_obs::registry().snapshot();
 //! println!("{}", snap.to_table());
-//! # if srb_obs::compiled() {
 //! assert_eq!(snap.counters["doc.connects"], 1);
-//! # }
 //! ```
 
 #![warn(missing_docs)]
@@ -45,31 +35,15 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-#[cfg(feature = "obs")]
 mod imp;
-#[cfg(feature = "obs")]
 pub use imp::{
-    enabled, registry, set_enabled, set_recorder, timing_enabled, AggregatingRecorder, Counter,
-    Gauge, Histogram, NoopRecorder, Recorder, Registry, SpanGuard, SpanStats, Stopwatch,
-};
-
-#[cfg(not(feature = "obs"))]
-mod stub;
-#[cfg(not(feature = "obs"))]
-pub use stub::{
-    enabled, registry, set_enabled, set_recorder, timing_enabled, AggregatingRecorder, Counter,
-    Gauge, Histogram, NoopRecorder, Recorder, Registry, SpanGuard, SpanStats, Stopwatch,
+    enabled, registry, set_enabled, Counter, Gauge, Histogram, Registry, SpanGuard, SpanStats,
+    Stopwatch,
 };
 
 /// Number of histogram buckets: bucket 0 holds zeros, bucket `i >= 1` holds
 /// values whose highest set bit is `i - 1` (i.e. `[2^(i-1), 2^i)`).
 pub const HISTOGRAM_BUCKETS: usize = 65;
-
-/// True when the crate was compiled with the `obs` feature — i.e. whether
-/// recorded events can be observed at all.
-pub const fn compiled() -> bool {
-    cfg!(feature = "obs")
-}
 
 /// The lower bound of histogram bucket `i` (see [`HISTOGRAM_BUCKETS`]).
 pub fn bucket_lower_bound(i: usize) -> u64 {
@@ -81,7 +55,7 @@ pub fn bucket_lower_bound(i: usize) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Snapshots (shared between the real and stub builds)
+// Snapshots
 // ---------------------------------------------------------------------
 
 /// Point-in-time copy of one histogram.
@@ -122,8 +96,7 @@ pub struct SpanSnapshot {
 }
 
 /// A point-in-time copy of every metric in the [`Registry`], suitable for
-/// diffing, JSON export, and human-readable tables. With the `obs` feature
-/// off, snapshots are always empty.
+/// diffing, JSON export, and human-readable tables.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Snapshot {
     /// Monotonic counters by name.

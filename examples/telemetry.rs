@@ -6,9 +6,6 @@
 //! ```bash
 //! cargo run --release --example telemetry
 //! ```
-//!
-//! With `--no-default-features` the whole telemetry layer compiles away and
-//! the snapshot is empty — the example prints that instead of failing.
 
 use srb::obs;
 use srb::sim::{run_srb, SimConfig};
@@ -17,12 +14,8 @@ fn main() {
     let cfg =
         SimConfig { shards: 2, timeline: Some("OBS_timeline.jsonl"), ..SimConfig::test_defaults() };
     println!(
-        "running SRB: N={} W={} duration={} shards={} (telemetry compiled: {})",
-        cfg.n_objects,
-        cfg.n_queries,
-        cfg.duration,
-        cfg.shards,
-        obs::compiled()
+        "running SRB: N={} W={} duration={} shards={}",
+        cfg.n_objects, cfg.n_queries, cfg.duration, cfg.shards
     );
 
     // Baseline snapshot so the report covers exactly this run, even if other
@@ -35,11 +28,6 @@ fn main() {
         "\nrun finished: accuracy={:.4}, {} uplinks, {} probes, comm_cost={:.3}",
         metrics.accuracy, metrics.uplinks, metrics.probes, metrics.comm_cost
     );
-
-    if !obs::compiled() {
-        println!("\ntelemetry is compiled out (--no-default-features); nothing to report");
-        return;
-    }
 
     // --- 1. Human-oriented table -------------------------------------------
     println!("\n{}", snap.to_table());

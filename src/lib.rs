@@ -13,9 +13,9 @@
 //! - [`mobility`] — random-waypoint trajectories and client logic (§7.1);
 //! - [`sim`] — the discrete event-driven simulator and the SRB/OPT/PRD
 //!   schemes of the paper's evaluation (§7);
-//! - [`obs`] — the zero-overhead telemetry layer (counters, histograms,
-//!   spans) wired through every layer above; compiled out entirely when
-//!   the default `obs` cargo feature is disabled.
+//! - [`obs`] — the telemetry layer (counters, histograms, spans) wired
+//!   through every layer above, behind one runtime switch
+//!   ([`obs::set_enabled`]).
 //!
 //! ## Quickstart
 //!
